@@ -227,6 +227,12 @@ type state struct {
 	job       Job
 	cancel    context.CancelFunc // set while running
 	cancelled bool               // user asked for cancellation
+	version   uint64             // last journal snapshot taken (under Manager.mu)
+
+	// jmu serialises the job's journal writes; written is the version
+	// of the record on disk (under jmu).
+	jmu     sync.Mutex
+	written uint64
 }
 
 // Manager owns the queue, the runners, and the journal.
@@ -563,6 +569,10 @@ func (m *Manager) Remove(id string) error {
 	}
 	m.mu.Unlock()
 	if m.cfg.Dir != "" {
+		// Under the job's write lock, so a journal write that snapshot
+		// the record before the delete cannot recreate the file after.
+		st.jmu.Lock()
+		defer st.jmu.Unlock()
 		if err := os.Remove(m.journalPath(id)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("jobs: removing journal entry: %w", err)
 		}
@@ -730,19 +740,14 @@ func (m *Manager) run(ctx context.Context, id string) {
 	}
 }
 
-// setProgress publishes a running job's progress; chunk boundaries also
-// hit the journal so a restart shows how far the interrupted run came.
+// setProgress publishes a running job's progress. It is not journalled:
+// a restart re-runs an interrupted job from scratch and resets its
+// progress, so a journalled count would never be read.
 func (m *Manager) setProgress(id string, p Progress) {
 	m.mu.Lock()
-	st, ok := m.jobs[id]
-	journalNow := false
-	if ok && st.job.State == StateRunning {
-		journalNow = p.Chunks > st.job.Progress.Chunks
+	defer m.mu.Unlock()
+	if st, ok := m.jobs[id]; ok && st.job.State == StateRunning {
 		st.job.Progress = p
-	}
-	m.mu.Unlock()
-	if journalNow {
-		m.journal(id)
 	}
 }
 
@@ -775,37 +780,88 @@ func (m *Manager) journalPath(id string) string {
 	return filepath.Join(m.cfg.Dir, id+".json")
 }
 
-// journal persists the job's current snapshot with an atomic
-// tmp+rename, so a crash never leaves a torn record. Best-effort: a
-// journal write failure is logged, not fatal — the in-memory state
-// machine stays authoritative for this process's lifetime.
+// journalRecord is a job's on-disk form: the record plus the version
+// that orders its writes.
+type journalRecord struct {
+	Job
+	Version uint64 `json:"version"`
+}
+
+// journal persists the job's current snapshot. Each call takes the next
+// version under m.mu together with the snapshot; writes of one job are
+// serialised, and a snapshot older than the record already on disk is
+// dropped, so a slow writer never overwrites a later state.
+// Best-effort: a journal write failure is logged, not fatal — the
+// in-memory state machine stays authoritative for this process's
+// lifetime.
 func (m *Manager) journal(id string) {
 	if m.cfg.Dir == "" {
 		return
 	}
 	m.mu.Lock()
 	st, ok := m.jobs[id]
-	var snap Job
+	var rec journalRecord
 	if ok {
-		snap = st.job
+		st.version++
+		rec = journalRecord{Job: st.job, Version: st.version}
 	}
 	m.mu.Unlock()
 	if !ok {
 		return
 	}
-	b, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		m.log.Error("marshaling journal entry", slog.String("job_id", id), slog.Any("error", err))
+	st.jmu.Lock()
+	defer st.jmu.Unlock()
+	m.mu.Lock()
+	removed := m.jobs[id] != st
+	m.mu.Unlock()
+	if removed || rec.Version <= st.written {
 		return
 	}
-	tmp := m.journalPath(id) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := m.writeJournal(rec); err != nil {
 		m.log.Error("writing journal entry", slog.String("job_id", id), slog.Any("error", err))
 		return
 	}
-	if err := os.Rename(tmp, m.journalPath(id)); err != nil {
-		m.log.Error("publishing journal entry", slog.String("job_id", id), slog.Any("error", err))
+	st.written = rec.Version
+}
+
+// writeJournal publishes rec atomically: staged in its own temp file,
+// fsynced, renamed over the old record, then the directory fsynced so
+// the rename itself survives a crash.
+func (m *Manager) writeJournal(rec journalRecord) error {
+	b, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
 	}
+	f, err := os.CreateTemp(m.cfg.Dir, rec.ID+".*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), m.journalPath(rec.ID))
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+		return err
+	}
+	d, err := os.Open(m.cfg.Dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // loadJournal reads every job record from Dir and returns the IDs to
@@ -823,6 +879,11 @@ func (m *Manager) loadJournal() ([]string, error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".tmp") {
+			// A write a crash interrupted before its rename.
+			_ = os.Remove(filepath.Join(m.cfg.Dir, name))
+			continue
+		}
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
@@ -834,12 +895,13 @@ func (m *Manager) loadJournal() ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobs: reading journal entry %s: %w", name, err)
 		}
-		var j Job
-		if err := json.Unmarshal(b, &j); err != nil {
+		var rec journalRecord
+		if err := json.Unmarshal(b, &rec); err != nil {
 			// A torn or foreign file: skip it rather than refuse to start.
 			m.log.Warn("skipping unreadable journal entry", slog.String("entry", name), slog.Any("error", err))
 			continue
 		}
+		j := rec.Job
 		if j.ID != id {
 			m.log.Warn("skipping journal entry with mismatched ID", slog.String("entry", name), slog.String("id", j.ID))
 			continue
@@ -850,7 +912,7 @@ func (m *Manager) loadJournal() ([]string, error) {
 			j.Started = time.Time{}
 			j.Progress = Progress{}
 		}
-		m.jobs[id] = &state{job: j}
+		m.jobs[id] = &state{job: j, version: rec.Version, written: rec.Version}
 		m.order = append(m.order, id)
 	}
 	sort.Slice(m.order, func(a, b int) bool {

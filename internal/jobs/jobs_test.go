@@ -575,6 +575,79 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
+// TestJournalConcurrentWrites is the regression test for the journal
+// write race: many goroutines push progress updates and journal writes
+// for one job while it runs to done. Every snapshot an older call took
+// must lose to the final done record, so a restart sees the job done
+// with its output, not parked back to pending. Run under -race.
+func TestJournalConcurrentWrites(t *testing.T) {
+	dir := t.TempDir()
+	store := artifact.NewMemStore()
+	m1, err := NewManager(Config{Store: store, Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := putBlob(t, store, testPatterns(32, 16))
+	testGate.block()
+	defer testGate.release()
+	j, err := m1.Submit(Spec{Kind: KindCompress, Codec: "testgate", Input: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m1, j.ID, StateRunning)
+
+	const writers = 8
+	var started, wg sync.WaitGroup
+	started.Add(writers)
+	wg.Add(writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			// Write until the job is done and no longer: the last
+			// snapshots taken before the final transition race its
+			// journal write, and nothing after it papers over a lost one.
+			for i := 1; ; i++ {
+				m1.setProgress(j.ID, Progress{Patterns: i, Chunks: i*writers + w})
+				m1.journal(j.ID)
+				if i == 1 {
+					started.Done()
+				}
+				if cur, err := m1.Get(j.ID); err != nil || cur.State.Terminal() {
+					return
+				}
+			}
+		}(w)
+	}
+	started.Wait()
+	testGate.release()
+	done := waitState(t, m1, j.ID, StateDone)
+	wg.Wait()
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(Config{Store: store, Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	got, err := m2.Get(j.ID)
+	if err != nil {
+		t.Fatalf("job lost across restart: %v", err)
+	}
+	if got.State != StateDone || got.Output != done.Output || got.Progress != done.Progress {
+		t.Fatalf("recovered job = %s output %s progress %+v, want done output %s progress %+v",
+			got.State, got.Output, got.Progress, done.Output, done.Progress)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("journal dir holds %d entries, want only %s.json", len(entries), j.ID)
+	}
+}
+
 // TestRemove: record deletion demands a terminal state and clears the
 // journal entry.
 func TestRemove(t *testing.T) {

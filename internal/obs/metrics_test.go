@@ -1,8 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -103,37 +102,35 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestExpvarCompatJSON: every primitive must render valid JSON, because
-// serve roots them all in an expvar.Map whose String() concatenates
-// member renderings into the GET /metrics snapshot.
-func TestExpvarCompatJSON(t *testing.T) {
-	var c Counter
-	c.Add(7)
-	var g Gauge
-	g.Set(-3)
+// TestLabelCounterSortedSeries: Get finds a key's counter (nil for an
+// absent key), and the exposition lists a LabelCounter's series in
+// sorted key order whatever order the keys were first added in, so two
+// scrapes of the same state are byte-identical.
+func TestLabelCounterSortedSeries(t *testing.T) {
 	lc := &LabelCounter{}
 	lc.Add("/v1/compress", 2)
 	lc.Add("/healthz", 1)
-	h := NewHistogram(1, 10)
-	h.Observe(0.5)
-	h.Observe(99)
-	hv := NewHistogramVec(50)
-	hv.Observe("golomb", 42)
-	for name, v := range map[string]fmt.Stringer{
-		"counter": &c, "gauge": &g, "labelcounter": lc, "histogram": h, "histogramvec": hv,
-	} {
-		var out any
-		if err := json.Unmarshal([]byte(v.String()), &out); err != nil {
-			t.Fatalf("%s.String() = %q is not valid JSON: %v", name, v.String(), err)
-		}
-	}
-	if got := lc.String(); got != `{"/healthz": 1, "/v1/compress": 2}` {
-		t.Fatalf("LabelCounter JSON = %s (keys must be sorted)", got)
-	}
+	lc.Add("/v1/codecs", 3)
 	if lc.Get("/healthz").Value() != 1 {
 		t.Fatalf("Get returned %d, want 1", lc.Get("/healthz").Value())
 	}
 	if lc.Get("absent") != nil {
 		t.Fatal("Get of an absent key must return nil")
+	}
+
+	r := NewRegistry()
+	r.CounterVec("x_total", "x", "path", lc)
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP x_total x
+# TYPE x_total counter
+x_total{path="/healthz"} 1
+x_total{path="/v1/codecs"} 3
+x_total{path="/v1/compress"} 2
+`
+	if got := b.String(); got != want {
+		t.Fatalf("LabelCounter series (keys must be sorted):\n%s", got)
 	}
 }

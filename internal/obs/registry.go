@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net/http"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -179,27 +179,18 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.err
 }
 
+// formatFloat renders a float the shortest way that round-trips.
+func formatFloat(f float64) string {
+	if math.IsInf(f, +1) {
+		return "+Inf"
+	}
+	return strconv.FormatFloat(f, 'g', -1, 64)
+}
+
 // escapeHelp escapes backslash and newline in help text per the format.
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// ServeHTTP answers a scrape with the text exposition body.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "use GET", http.StatusMethodNotAllowed)
-		return
-	}
-	var buf strings.Builder
-	if _, err := r.WriteTo(&buf); err != nil {
-		http.Error(w, "rendering metrics: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = io.WriteString(w, buf.String()) // client gone: nothing to do
 }
 
 // countWriter tracks bytes written and the first error.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -59,32 +58,6 @@ tcompd_request_duration_seconds_count{path="/v1/compress"} 3
 `
 	if got := b.String(); got != want {
 		t.Fatalf("exposition drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-// TestExpositionHTTP checks the scrape endpoint contract: content type
-// and method gating.
-func TestExpositionHTTP(t *testing.T) {
-	r := NewRegistry()
-	var c Counter
-	r.Counter("x_total", "x", &c)
-
-	rec := httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/prometheus", nil))
-	if rec.Code != 200 {
-		t.Fatalf("GET scrape status %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("scrape content type %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "x_total 0") {
-		t.Fatalf("scrape body missing sample:\n%s", rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("POST", "/metrics/prometheus", nil))
-	if rec.Code != 405 {
-		t.Fatalf("POST scrape status %d, want 405", rec.Code)
 	}
 }
 

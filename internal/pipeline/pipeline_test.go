@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSeedDependsOnlyOnRootAndIndex(t *testing.T) {
@@ -185,24 +185,26 @@ func TestStreamWithoutFailFastRunsEverything(t *testing.T) {
 
 // TestPoolPicksUpFreedTokens asserts a batch started under a saturated
 // limiter gains parallelism once tokens free up mid-batch, instead of
-// staying serial for its whole lifetime.
+// staying serial for its whole lifetime. Job 10 frees the only token;
+// every later job then waits (bounded) until two jobs run at once, so
+// the outcome depends on the pool's behaviour, not on how soon the
+// scheduler runs a new helper.
 func TestPoolPicksUpFreedTokens(t *testing.T) {
 	lim := NewLimiter(1)
 	if !lim.TryAcquire() {
 		t.Fatal("setup")
 	}
-	release := make(chan struct{})
-	go func() {
-		<-release
-		lim.Release() // frees the only token while the batch is running
-	}()
+	wait, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	concurrent := make(chan struct{}) // closed once two jobs overlap
+	var once sync.Once
 	var maxConcurrent, cur atomic.Int32
 	jobs := make([]Job[int], 200)
 	for i := range jobs {
 		i := i
 		jobs[i] = Job[int]{Run: func(context.Context, int64) (int, error) {
 			if i == 10 {
-				close(release)
+				lim.Release() // frees the only token while the batch is running
 			}
 			c := cur.Add(1)
 			defer cur.Add(-1)
@@ -212,8 +214,14 @@ func TestPoolPicksUpFreedTokens(t *testing.T) {
 					break
 				}
 			}
-			for k := 0; k < 10000; k++ {
-				_ = k * k
+			if c >= 2 {
+				once.Do(func() { close(concurrent) })
+			}
+			if i > 10 {
+				select {
+				case <-concurrent:
+				case <-wait.Done():
+				}
 			}
 			return i, nil
 		}}
@@ -221,7 +229,7 @@ func TestPoolPicksUpFreedTokens(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Workers: 4, Limiter: lim}, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if runtime.NumCPU() > 1 && maxConcurrent.Load() < 2 {
+	if maxConcurrent.Load() < 2 {
 		t.Fatal("pool never re-acquired the freed limiter token")
 	}
 }

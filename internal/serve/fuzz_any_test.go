@@ -36,8 +36,9 @@ var fuzzPaths = []struct {
 	{"GET", "/v1/codecs"},
 	{"POST", "/v1/codecs"}, // wrong method: 405
 	{"GET", "/healthz"},
-	{"GET", "/metrics"},
-	{"DELETE", "/v1/compress"}, // wrong method: 405
+	{"GET", "/metrics/prometheus"},
+	{"DELETE", "/v1/compress"},      // wrong method: 405
+	{"POST", "/metrics/prometheus"}, // wrong method: 405
 }
 
 var knownCodes = map[string]bool{
@@ -100,6 +101,7 @@ func FuzzServeAnyEndpoint(f *testing.F) {
 	f.Add(uint8(4), "", []byte(nil))
 	f.Add(uint8(6), "junk=%zz", []byte(nil))
 	f.Add(uint8(8), "", []byte("body on DELETE"))
+	f.Add(uint8(9), "", []byte("body on a scrape")) // POST /metrics/prometheus: 405
 
 	s := mustServer(f, Config{Workers: 2, CacheBytes: 1 << 16, CacheInputBytes: 1 << 12, MaxBodyBytes: 1 << 14})
 	h := s.Handler()

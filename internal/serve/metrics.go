@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"expvar"
-	"fmt"
 	"math"
 	"net/http"
 	"runtime"
@@ -14,15 +12,11 @@ import (
 )
 
 // Metrics is the daemon's counter set, built on the lock-free obs
-// primitives. Every primitive implements expvar.Var and is rooted in a
-// private expvar.Map rather than the process-global registry, so every
-// Server (and every httptest instance in the test suite) gets an
-// independent namespace and GET /metrics keeps serving the JSON
-// snapshot it always has. The same primitives are registered — by
-// reference, no double accounting — in a Prometheus text-exposition
-// registry served at GET /metrics/prometheus.
+// primitives. The primitives are registered by reference in a private
+// Prometheus text-exposition registry rather than a process-global one,
+// so every Server (and every httptest instance in the test suite) gets
+// an independent namespace. It is served at GET /metrics/prometheus.
 type Metrics struct {
-	root *expvar.Map
 	prom *obs.Registry
 
 	// Requests counts completed requests per endpoint path.
@@ -43,9 +37,9 @@ type Metrics struct {
 	BytesIn  *obs.Counter
 	BytesOut *obs.Counter
 	// CacheHits / CacheMisses count result-cache lookups on /v1/compress;
-	// CacheEvictions counts entries the LRU budget pushed out. The root
-	// map also exposes cache_hit_ratio, a gauge computed from the two
-	// lookup counters (0 until the first lookup).
+	// CacheEvictions counts entries the LRU budget pushed out. The
+	// exposition also carries tcompd_cache_hit_ratio, a gauge computed
+	// from the two lookup counters (0 until the first lookup).
 	CacheHits      *obs.Counter
 	CacheMisses    *obs.Counter
 	CacheEvictions *obs.Counter
@@ -109,37 +103,9 @@ func newMetrics(tracer *obs.Tracer) *Metrics {
 		Rates:          obs.NewHistogramVec(rateBuckets...),
 		FlowStages:     obs.NewHistogramVec(latencyBuckets...),
 	}
-	hitRatio := func() float64 {
-		hits, misses := m.CacheHits.Value(), m.CacheMisses.Value()
-		if hits+misses == 0 {
-			return 0.0
-		}
-		return float64(hits) / float64(hits+misses)
-	}
-
-	m.root = new(expvar.Map).Init()
-	m.root.Set("requests", m.Requests)
-	m.root.Set("in_flight", m.InFlight)
-	m.root.Set("workers_busy", m.WorkersBusy)
-	m.root.Set("workers_peak", m.WorkersPeak)
-	m.root.Set("bytes_in", m.BytesIn)
-	m.root.Set("bytes_out", m.BytesOut)
-	m.root.Set("cache_hits", m.CacheHits)
-	m.root.Set("cache_misses", m.CacheMisses)
-	m.root.Set("cache_evictions", m.CacheEvictions)
-	m.root.Set("cache_hit_ratio", expvar.Func(func() any { return hitRatio() }))
-	m.root.Set("jobs", m.Jobs)
-	m.root.Set("rejected_request_ids", m.RejectedIDs)
-	m.root.Set("errors", m.Errors)
-	m.root.Set("panics", m.Panics)
-	m.root.Set("compression_rate", m.Rates)
-	m.root.Set("request_latency", m.Latency)
-	m.root.Set("flow_stage_seconds", m.FlowStages)
-	m.root.Set("flow_coverage_percent", expvar.Func(func() any { return m.FlowCoverage() }))
-
-	// The Prometheus view over the same primitives. Names follow the
-	// exposition conventions: _total counters, base-unit seconds.
-	// Keep this table in sync with the README's metric-name table.
+	// Names follow the exposition conventions: _total counters,
+	// base-unit seconds. Keep this table in sync with the README's
+	// metric-name table.
 	p := obs.NewRegistry()
 	p.CounterVec("tcompd_requests_total", "Completed requests per endpoint path.", "path", m.Requests)
 	p.HistogramVec("tcompd_request_duration_seconds", "Request latency per endpoint path.", "path", m.Latency)
@@ -151,7 +117,13 @@ func newMetrics(tracer *obs.Tracer) *Metrics {
 	p.Counter("tcompd_cache_hits_total", "Result-cache hits.", m.CacheHits)
 	p.Counter("tcompd_cache_misses_total", "Result-cache misses.", m.CacheMisses)
 	p.Counter("tcompd_cache_evictions_total", "Result-cache LRU evictions.", m.CacheEvictions)
-	p.GaugeFunc("tcompd_cache_hit_ratio", "Cache hits over lookups (0 until the first lookup).", hitRatio)
+	p.GaugeFunc("tcompd_cache_hit_ratio", "Cache hits over lookups (0 until the first lookup).", func() float64 {
+		hits, misses := m.CacheHits.Value(), m.CacheMisses.Value()
+		if hits+misses == 0 {
+			return 0.0
+		}
+		return float64(hits) / float64(hits+misses)
+	})
 	p.CounterVec("tcompd_jobs_total", "Async job lifecycle events.", "event", m.Jobs)
 	p.Counter("tcompd_rejected_request_ids_total", "Client-supplied X-Request-Id headers refused by sanitization.", m.RejectedIDs)
 	p.Counter("tcompd_errors_total", "Requests answered with a non-2xx status.", m.Errors)
@@ -179,7 +151,6 @@ func newMetrics(tracer *obs.Tracer) *Metrics {
 	p.CounterFunc("tcompd_gc_cycles_total", "Completed GC cycles.", func() float64 {
 		return float64(rt.stats().NumGC)
 	})
-	m.root.Set("goroutines", expvar.Func(func() any { return runtime.NumGoroutine() }))
 
 	// Exporter accounting, when the tracer's exporter keeps any (the
 	// OTLP exporter's bounded queue): saturation and span loss must be
@@ -199,9 +170,9 @@ func newMetrics(tracer *obs.Tracer) *Metrics {
 	return m
 }
 
-// runtimeSampler memoizes runtime.ReadMemStats for a second: scrapes
-// and the JSON snapshot may hit several heap gauges per pass, and
-// ReadMemStats stops the world each call.
+// runtimeSampler memoizes runtime.ReadMemStats for a second: a scrape
+// hits several heap gauges per pass, and ReadMemStats stops the world
+// each call.
 type runtimeSampler struct {
 	mu   sync.Mutex
 	at   time.Time
@@ -253,19 +224,16 @@ func (m *Metrics) noteWorker(delta int64) {
 	}
 }
 
-// String returns the metrics snapshot as a JSON object.
-func (m *Metrics) String() string { return m.root.String() }
-
-// ServeHTTP implements GET /metrics.
+// ServeHTTP implements GET /metrics/prometheus: the text exposition
+// (format 0.0.4) of every registered family.
 func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, CodeMethodNotAllowed, "use GET")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, m.root.String())
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = m.prom.WriteTo(w) // client gone: nothing to do
 }
 
-// Prometheus returns the text-exposition registry (served at
-// GET /metrics/prometheus).
+// Prometheus returns the text-exposition registry.
 func (m *Metrics) Prometheus() *obs.Registry { return m.prom }

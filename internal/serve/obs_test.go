@@ -260,6 +260,37 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestExpositionHTTP checks the scrape endpoint contract: content type
+// on GET, and a wrong method gets the taxonomy error like every other
+// endpoint.
+func TestExpositionHTTP(t *testing.T) {
+	m := newMetrics(nil)
+
+	rec := httptest.NewRecorder()
+	m.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/prometheus", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET scrape status %d", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("scrape content type %q", ct)
+	}
+	if !strings.Contains(rec.Body.String(), "\ntcompd_cache_hits_total 0\n") {
+		t.Fatalf("scrape body missing sample:\n%s", rec.Body.String())
+	}
+
+	rec = httptest.NewRecorder()
+	m.ServeHTTP(rec, httptest.NewRequest("POST", "/metrics/prometheus", nil))
+	var eb ErrorBody
+	if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
+		t.Fatalf("POST scrape error body does not parse: %v", err)
+	}
+	if rec.Code != http.StatusMethodNotAllowed || eb.Code != CodeMethodNotAllowed ||
+		rec.Header().Get("X-Tcomp-Error-Code") != CodeMethodNotAllowed {
+		t.Fatalf("POST scrape: status %d, body %+v, header code %q",
+			rec.Code, eb, rec.Header().Get("X-Tcomp-Error-Code"))
+	}
+}
+
 // TestPrometheusConcurrentScrape: 64 goroutines hammer every metric
 // family while scrapers read the exposition — the -race run proves the
 // lock-free primitives and the renderer never tear.

@@ -43,7 +43,8 @@
 //	DELETE /v1/flows/{id} cancel / remove, like /v1/jobs/{id}.
 //	GET  /v1/benchmarks  the ISCAS-style registry (paper tables 1 and 2).
 //	GET  /healthz        liveness; 503 once draining.
-//	GET  /metrics        expvar-style JSON counter snapshot.
+//	GET  /metrics/prometheus  Prometheus text exposition of the
+//	                     daemon's counters, gauges and histograms.
 //
 // Three properties carry over from the engine. Memory: both data
 // endpoints stream through tcomp.StreamWriter/StreamReader, so a
@@ -210,8 +211,7 @@ func New(cfg Config) (*Server, error) {
 	mux.Handle("/v1/flows/", s.instrument("/v1/flows/", s.handleFlowByID))
 	mux.Handle("/v1/benchmarks", s.instrument("/v1/benchmarks", s.handleBenchmarks))
 	mux.Handle("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.Handle("/metrics", s.instrument("/metrics", s.metrics.ServeHTTP))
-	mux.Handle("/metrics/prometheus", s.instrument("/metrics/prometheus", s.metrics.Prometheus().ServeHTTP))
+	mux.Handle("/metrics/prometheus", s.instrument("/metrics/prometheus", s.metrics.ServeHTTP))
 	s.mux = mux
 	return s, nil
 }
@@ -236,7 +236,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // and parked back to pending in the journal for the next start.
 func (s *Server) Close() error { return s.jobs.Close() }
 
-// Metrics returns the server's counter set (also served at /metrics).
+// Metrics returns the server's counter set (also served at
+// /metrics/prometheus).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Jobs returns the async job manager.
@@ -312,7 +313,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.Handler {
 			// Health probes and scrapes log at debug — they would drown
 			// the data-plane lines at every monitoring interval.
 			level := slog.LevelInfo
-			if path == "/healthz" || path == "/metrics" || path == "/metrics/prometheus" {
+			if path == "/healthz" || path == "/metrics/prometheus" {
 				level = slog.LevelDebug
 			}
 			if sw.code >= 500 {

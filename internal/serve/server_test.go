@@ -31,6 +31,23 @@ func mustServer(tb testing.TB, cfg Config) *Server {
 	return s
 }
 
+// scrape answers GET /metrics/prometheus through the handler tree and
+// returns the exposition text.
+func scrape(t *testing.T, s *Server) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics/prometheus", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics/prometheus: %d", rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// hasSample reports whether the exposition holds sample as a whole line.
+func hasSample(exposition, sample string) bool {
+	return strings.Contains("\n"+exposition, "\n"+sample+"\n")
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *tcomp.Client) {
 	t.Helper()
 	s := mustServer(t, cfg)
@@ -234,15 +251,8 @@ func TestCacheDeterminism(t *testing.T) {
 		t.Fatalf("cache_evictions = %d, want 0 (capacity was never exceeded)", ev)
 	}
 	// The computed hit-ratio gauge: 2 hits / 4 lookups.
-	var snap struct {
-		HitRatio  float64 `json:"cache_hit_ratio"`
-		Evictions int64   `json:"cache_evictions"`
-	}
-	if err := json.Unmarshal([]byte(s.Metrics().String()), &snap); err != nil {
-		t.Fatalf("metrics snapshot does not parse: %v", err)
-	}
-	if snap.HitRatio != 0.5 {
-		t.Fatalf("cache_hit_ratio = %v, want 0.5", snap.HitRatio)
+	if text := scrape(t, s); !hasSample(text, "tcompd_cache_hit_ratio 0.5") {
+		t.Fatalf("exposition lacks tcompd_cache_hit_ratio 0.5:\n%s", text)
 	}
 }
 
@@ -472,7 +482,8 @@ func TestCodecsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: counters move and the snapshot is valid JSON.
+// TestMetricsEndpoint: counters move and the scrape endpoint shows
+// them; the retired JSON endpoint is gone.
 func TestMetricsEndpoint(t *testing.T) {
 	s, client := newTestServer(t, Config{Workers: 2, CacheBytes: 1 << 20})
 	ctx := context.Background()
@@ -486,35 +497,24 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(s.Metrics().String()), &snap); err != nil {
-		t.Fatalf("metrics snapshot is not valid JSON: %v", err)
-	}
-	var reqs map[string]int64
-	if err := json.Unmarshal(snap["requests"], &reqs); err != nil {
-		t.Fatal(err)
-	}
-	if reqs["/v1/compress"] != 1 || reqs["/v1/decompress"] != 1 {
-		t.Fatalf("request counters %v", reqs)
+	exposition := scrape(t, s)
+	for _, want := range []string{
+		`tcompd_requests_total{path="/v1/compress"} 1`,
+		`tcompd_requests_total{path="/v1/decompress"} 1`,
+		`tcompd_compression_rate_percent_count{codec="golomb"} 1`,
+	} {
+		if !hasSample(exposition, want) {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 	if s.Metrics().BytesIn.Value() == 0 || s.Metrics().BytesOut.Value() == 0 {
 		t.Fatal("byte counters did not move")
 	}
-	var rates map[string]struct {
-		Count int64 `json:"count"`
-	}
-	if err := json.Unmarshal(snap["compression_rate"], &rates); err != nil {
-		t.Fatal(err)
-	}
-	if rates["golomb"].Count != 1 {
-		t.Fatalf("golomb rate histogram count %d, want 1", rates["golomb"].Count)
-	}
 
-	// The HTTP endpoint serves the same snapshot.
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
-		t.Fatalf("GET /metrics: %d, valid JSON: %v", rec.Code, json.Valid(rec.Body.Bytes()))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /metrics: %d, want 404 (the JSON snapshot was removed)", rec.Code)
 	}
 }
 

@@ -106,6 +106,22 @@ func (c *traceCollector) waitFor(t *testing.T, traceID string, pred func([]colle
 	}
 }
 
+// hasSpans is a waitFor condition: every named span has been collected.
+func hasSpans(names ...string) func([]collectedSpan) bool {
+	return func(spans []collectedSpan) bool {
+		for _, name := range names {
+			found := false
+			for _, s := range spans {
+				found = found || s.Name == name
+			}
+			if !found {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // newTestTracer builds a tracer exporting to the stub collector with a
 // flush interval short enough for test-scale polling.
 func newTestTracer(c *traceCollector) *obs.Tracer {
@@ -288,14 +304,9 @@ func TestTraceAsyncJobJoinsTraceAcrossRestart(t *testing.T) {
 	// The job's worker span must export under the submitting trace,
 	// parented inside it (its direct parent is the submission request's
 	// serve root span, which in turn is a child of the client span).
-	spans := collector1.waitFor(t, traceB, func(spans []collectedSpan) bool {
-		for _, s := range spans {
-			if s.Name == "job compress" {
-				return true
-			}
-		}
-		return false
-	})
+	// The handler span ends only after its response is written, so it
+	// can reach the collector after the job span: wait for both.
+	spans := collector1.waitFor(t, traceB, hasSpans("job compress", "POST /v1/jobs"))
 	jobSpan := spanByName(t, spans, "job compress")
 	submitRoot := spanByName(t, spans, "POST /v1/jobs")
 	if jobSpan.Parent != submitRoot.SpanID {
@@ -349,14 +360,7 @@ func TestTraceAsyncJobJoinsTraceAcrossRestart(t *testing.T) {
 	if j2.State != tcomp.JobDone {
 		t.Fatalf("re-run job state %s (%s), want done", j2.State, j2.Error)
 	}
-	respans := collector2.waitFor(t, traceB, func(spans []collectedSpan) bool {
-		for _, s := range spans {
-			if s.Name == "job compress" {
-				return true
-			}
-		}
-		return false
-	})
+	respans := collector2.waitFor(t, traceB, hasSpans("job compress"))
 	reJob := spanByName(t, respans, "job compress")
 	if reJob.TraceID != traceB {
 		t.Fatalf("re-run job trace = %s, want %s", reJob.TraceID, traceB)
